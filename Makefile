@@ -9,12 +9,13 @@
 # sweep (optimized round path bit-exact with the seed path and never slower)
 # under the race detector, and runs the CI-sized multi-device sharding sweep
 # (near-linear scaling, bit-exact results, work stealing under a mid-batch
-# device kill) under the race detector.
+# device kill) under the race detector, and vets and tests the benchmark
+# module in perfbench/.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
+.PHONY: build test vet lint race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke perfbench-test check resilience devfault soak scale round devset
 
 build:
 	$(GO) build ./...
@@ -85,7 +86,14 @@ round-smoke:
 devset-smoke:
 	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
 
-check: build vet test race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke
+# perfbench/ is a nested module (its own go.mod, importing this one through
+# a replace directive), so `./...` above never compiles it. It reads fl's
+# context, fault report, and device counters; vetting and testing it here
+# keeps an fl refactor from silently breaking the repository benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet test race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke perfbench-test
 
 # Demonstrate graceful degradation under a straggler (see DESIGN.md §6).
 resilience:

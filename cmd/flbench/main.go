@@ -19,7 +19,7 @@
 //	-seed n       PRNG seed for workloads, chaos, and fault injection (default 1)
 //	-chunk n      streamed-pipeline chunk size in plaintexts (default 0 = sequential)
 //	-devices n    shard vector HE ops across n simulated devices
-//	              (default 0 = classic single-device engine)
+//	              (default 0; 0 and 1 both mean one device)
 //	-trace file   write a Chrome trace-event JSON of the run's sim-time spans
 //	              (load in Perfetto / chrome://tracing)
 //	-metrics file write the metrics registry as text ("-" = stdout)
@@ -56,7 +56,7 @@ func run(args []string) error {
 	batch := fs.Int("batch", 0, "SGD minibatch size")
 	seed := fs.Uint64("seed", 1, "PRNG seed for workloads, chaos, and fault injection")
 	chunk := fs.Int("chunk", 0, "streamed-pipeline chunk size in plaintexts (0 = sequential)")
-	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
+	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 and 1 both mean one device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file")
 	metrics := fs.String("metrics", "", "write the metrics registry as text to this file (\"-\" = stdout)")
 	paper := fs.Bool("paper", false, "use the paper's full-scale parameters")
@@ -97,9 +97,9 @@ func run(args []string) error {
 	// A positive -chunk streams every upload through the chunked
 	// encrypt→send pipeline; the aggregates stay bit-exact either way.
 	cfg.Chunk = *chunk
-	// A -devices value of 1 or more routes every vector HE op through a
-	// gpu.DeviceSet shard scheduler; out-of-range values fail Validate with
-	// a typed bench.ConfigError naming the field.
+	// Every GPU context shards its vector HE ops through a gpu.DeviceSet of
+	// max(-devices, 1) devices; out-of-range values fail Validate with a
+	// typed bench.ConfigError naming the field.
 	cfg.Devices = *devices
 	cfg.Observe = *trace != "" || *metrics != ""
 

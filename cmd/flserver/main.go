@@ -24,7 +24,7 @@
 //	              are bit-exact with the unpooled path (0 = off)
 //	-devices n    every party shards its vector HE ops across n simulated
 //	              devices with work stealing under device faults; results
-//	              are bit-exact with the single-device engine (0 = off)
+//	              are bit-exact at every n (0 and 1 both mean one device)
 //	-trace file   write a Chrome trace-event JSON of the party's sim-time
 //	              spans on exit, plus a metrics text dump to stdout (demo
 //	              mode shares one trace across the in-process parties)
@@ -131,7 +131,7 @@ func run(args []string, stop <-chan struct{}) error {
 	straggle := fs.Duration("straggle", 0, "delay this client's upload (demo: client 0)")
 	chunk := fs.Int("chunk", 0, "streamed-pipeline chunk size in plaintexts (0 = sequential)")
 	pool := fs.Int("pool", 0, "precomputed nonce-pool depth for encrypting parties (0 = off)")
-	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
+	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 and 1 both mean one device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file on exit")
 	journal := fs.String("journal", "", "server: write-ahead round journal file (empty = no journal)")
 	resume := fs.Bool("resume", false, "server: replay -journal and resume from the last safe boundary")
@@ -246,8 +246,8 @@ func writeObs(o *obs.Obs, path string) error {
 
 // demoContext builds the shared HE context all demo parties derive from the
 // seed. A positive chunk streams encryption through the chunked
-// double-buffered pipeline, and devices ≥ 1 shards vector HE ops across a
-// simulated device set; the ciphertexts are bit-exact either way. With
+// double-buffered pipeline, and devices > 1 shards vector HE ops across
+// that many simulated devices; the ciphertexts are bit-exact either way. With
 // an observability bundle the context traces and meters under the party's
 // label (demo mode passes one bundle to every in-process party).
 func demoContext(keyBits, clients, chunk, pool, devices int, seed uint64, o *obs.Obs, label string) (*fl.Context, error) {
@@ -287,8 +287,8 @@ type serverOpts struct {
 	// are bounded by the tree depth, not the cohort size.
 	cohort int
 	fanout int
-	// devices ≥ 1 shards the server's aggregate-and-decrypt vector ops
-	// across a simulated device set; 0 keeps the single-device engine.
+	// devices > 1 shards the server's aggregate-and-decrypt vector ops
+	// across that many simulated devices; 0 and 1 both mean one device.
 	devices int
 	// journal appends round state to this write-ahead file; resume replays
 	// it on startup and picks the round up from the last safe boundary.
@@ -677,8 +677,8 @@ type clientOpts struct {
 	// pool precomputes this many rⁿ noise terms offline before the upload's
 	// encryption (re-armed per batch); 0 keeps the online nonce path.
 	pool int
-	// devices ≥ 1 shards the client's encrypt path across a simulated
-	// device set; 0 keeps the single-device engine.
+	// devices > 1 shards the client's encrypt path across that many
+	// simulated devices; 0 and 1 both mean one device.
 	devices int
 	seed    uint64
 	vals    []float64

@@ -44,9 +44,9 @@ type Config struct {
 	// Chunk is the streamed-pipeline chunk size in plaintexts per upload
 	// chunk for every HE context (0 keeps the whole-batch sequential path).
 	Chunk int
-	// Devices is the simulated device count per GPU context: values of 1 or
-	// more shard every vector HE op across a gpu.DeviceSet of that many
-	// devices; 0 keeps the classic single-device engine.
+	// Devices is the simulated device count per GPU context: every vector
+	// HE op shards across a gpu.DeviceSet of that many devices (0 and 1
+	// both mean one device).
 	Devices int
 	// Observe attaches one observability bundle (sim-time span recorder +
 	// metrics registry, seeded from Seed) to every context the runner builds,
@@ -198,9 +198,6 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}
 	if ctx, ok := r.ctxs[k]; ok {
 		ctx.Costs.Reset()
-		if ctx.Device != nil {
-			ctx.Device.ResetStats()
-		}
 		if ctx.DevSet != nil {
 			ctx.DevSet.ResetStats()
 		}

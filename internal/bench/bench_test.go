@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -161,6 +162,31 @@ func TestAblationOrderingHolds(t *testing.T) {
 	}
 	if times[fl.SystemFLBooster] >= times[fl.SystemNoBC] {
 		t.Fatalf("removing batch compression should slow the system: %v", times)
+	}
+}
+
+// TestAblationPipelineGain: ablation B streams its encryptions through the
+// device pipeline, so the overlapped time must come out below the
+// sequential one — a gain of exactly 1.00x means no chunk was pipelined.
+func TestAblationPipelineGain(t *testing.T) {
+	cfg := microConfig()
+	cfg.KeyBits = []int{512}
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.ablationPipeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	row := strings.Fields(lines[len(lines)-1])
+	gain, err := strconv.ParseFloat(strings.TrimSuffix(row[len(row)-1], "x"), 64)
+	if err != nil {
+		t.Fatalf("gain column of %q: %v", lines[len(lines)-1], err)
+	}
+	if gain <= 1 {
+		t.Fatalf("pipelined gain %.2fx, want > 1:\n%s", gain, buf.String())
 	}
 }
 

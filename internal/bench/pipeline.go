@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"flbooster/internal/fl"
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
@@ -40,20 +39,6 @@ type pipelineRow struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// pipelineRound is the end-to-end federation view: one secure-aggregation
-// round with chunked uploads, sequential total vs overlapped total.
-type pipelineRound struct {
-	System      string  `json:"system"`
-	KeyBits     int     `json:"key_bits"`
-	Parties     int     `json:"parties"`
-	GradDim     int     `json:"grad_dim"`
-	Chunk       int     `json:"chunk"`
-	Chunks      int64   `json:"chunks"`
-	SeqSimNs    int64   `json:"seq_sim_ns"`
-	StreamSimNs int64   `json:"stream_sim_ns"`
-	Speedup     float64 `json:"speedup"`
-}
-
 // pipelineReport is the BENCH_pipeline.json schema.
 type pipelineReport struct {
 	KeyBits             int           `json:"key_bits"`
@@ -63,14 +48,13 @@ type pipelineReport struct {
 	SeqWholeBatchNs     int64         `json:"seq_whole_batch_ns"`
 	Sweep               []pipelineRow `json:"sweep"`
 	Best                pipelineRow   `json:"best"`
-	Round               pipelineRound `json:"round"`
 }
 
 // Pipeline sweeps the streamed-execution chunk size on a transfer-heavy
 // hom-add workload at the largest configured key size, comparing the
-// whole-batch sequential launch against the double-buffered pipeline, then
-// runs one chunked federation round for the end-to-end view. Results go to
-// w and to BENCH_pipeline.json.
+// whole-batch sequential launch against the double-buffered pipeline.
+// Results go to w and to BENCH_pipeline.json. The end-to-end chunked round
+// is measured by the round benchmark (BENCH_round.json).
 func (r *Runner) Pipeline(w io.Writer) error {
 	keyBits := r.cfg.KeyBits[len(r.cfg.KeyBits)-1]
 	devCfg := r.cfg.Device
@@ -148,12 +132,6 @@ func (r *Runner) Pipeline(w io.Writer) error {
 			fmtDur(st.SimStreamSeqTime), fmtDur(st.SimStreamTime), row.Speedup)
 	}
 
-	round, err := r.pipelineRound(w, keyBits, devCfg)
-	if err != nil {
-		return err
-	}
-	report.Round = round
-
 	blob, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		return err
@@ -163,55 +141,4 @@ func (r *Runner) Pipeline(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nbest chunk %d: %.2fx; wrote %s\n", report.Best.Chunk, report.Best.Speedup, pipelineJSON)
 	return nil
-}
-
-// pipelineRound runs one secure-aggregation round with chunked uploads and
-// reports the sequential vs overlapped end-to-end totals.
-func (r *Runner) pipelineRound(w io.Writer, keyBits int, devCfg gpu.Config) (pipelineRound, error) {
-	const dim = 256
-	chunk := r.cfg.Chunk
-	if chunk <= 0 {
-		chunk = 4
-	}
-	p := fl.NewProfile(fl.SystemFLBooster, keyBits, r.cfg.Parties)
-	p.Device = devCfg
-	p.Seed = r.cfg.Seed
-	p.Chunk = chunk
-	ctx, err := fl.NewContext(p)
-	if err != nil {
-		return pipelineRound{}, err
-	}
-	r.attachObs(ctx, fmt.Sprintf("pipeline-round-%d", keyBits))
-	fed := fl.NewFederation(ctx)
-	defer fed.Close()
-
-	rng := mpint.NewRNG(r.cfg.Seed + 78)
-	grads := make([][]float64, r.cfg.Parties)
-	for c := range grads {
-		grads[c] = make([]float64, dim)
-		for i := range grads[c] {
-			grads[c][i] = rng.Float64()*0.5 - 0.25
-		}
-	}
-	if _, err := fed.SecureAggregate(grads); err != nil {
-		return pipelineRound{}, err
-	}
-	cs := ctx.Costs.Snapshot()
-	round := pipelineRound{
-		System:      string(fl.SystemFLBooster),
-		KeyBits:     keyBits,
-		Parties:     r.cfg.Parties,
-		GradDim:     dim,
-		Chunk:       chunk,
-		Chunks:      cs.PipeChunks,
-		SeqSimNs:    int64(cs.TotalSim()),
-		StreamSimNs: int64(cs.TotalSimOverlapped()),
-	}
-	if round.StreamSimNs > 0 {
-		round.Speedup = float64(round.SeqSimNs) / float64(round.StreamSimNs)
-	}
-	fmt.Fprintf(w, "\nRound (%d-bit, %d parties, dim %d, chunk %d): sequential %s, overlapped %s (%.2fx, %d chunks)\n",
-		keyBits, r.cfg.Parties, dim, chunk,
-		fmtDur(cs.TotalSim()), fmtDur(cs.TotalSimOverlapped()), round.Speedup, cs.PipeChunks)
-	return round, nil
 }

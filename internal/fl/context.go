@@ -17,22 +17,26 @@ import (
 
 // Context is one acceleration configuration instantiated: the Paillier key,
 // the HE backend the profile selects, the encoding-quantization and batch-
-// compression layers, the (possibly nil) GPU device, the link model, and the
-// cost tracker every operation reports into. It implements the pipelined
-// processing of Fig. 4.
+// compression layers, the (possibly nil) GPU device set, the link model,
+// and the cost tracker every operation reports into. It implements the
+// pipelined processing of Fig. 4.
 type Context struct {
 	Profile Profile
 	Key     *paillier.PrivateKey
 	Backend paillier.Backend
 	Quant   *quant.Quantizer
-	Packer  *batch.Packer       // nil when batch compression is off
-	Device  *gpu.Device         // nil on CPU profiles and device-set profiles
-	DevSet  *gpu.DeviceSet      // non-nil when Profile.Devices >= 1: the sharded fleet
-	Checked *ghe.CheckedEngine  // nil on CPU and device-set profiles; the resilient GPU-HE path
-	Sharded *ghe.ShardedEngine  // non-nil when DevSet is: the sharded vector engine
-	Pool    *paillier.NoncePool // nil unless Profile.NoncePool > 0 on a GPU profile
-	Link    flnet.Link
-	Costs   *Costs
+	Packer  *batch.Packer // nil when batch compression is off
+	// DevSet is the GPU substrate of every GPU profile: max(Devices, 1)
+	// devices behind Sharded, the checked, sharded vector engine. Both are
+	// nil on CPU profiles.
+	DevSet  *gpu.DeviceSet
+	Sharded *ghe.ShardedEngine
+	// Device is DevSet.Device(0), kept as a read-only alias for callers that
+	// read one device's counters; nil on CPU profiles.
+	Device *gpu.Device
+	Pool   *paillier.NoncePool // nil unless Profile.NoncePool > 0 on a GPU profile
+	Link   flnet.Link
+	Costs  *Costs
 	// Obs is the observability bundle (span recorder + metrics registry)
 	// attached via AttachObs or Profile.Observe; nil means tracing/metrics
 	// are off and every instrumentation call is a no-op.
@@ -65,21 +69,25 @@ func NewContext(p Profile) (*Context, error) {
 		}
 		ctx.Packer = pk
 	}
-	if p.UseGPU && p.Devices >= 1 {
-		set, err := gpu.NewDeviceSet(p.Device, p.FineRM, p.Devices)
+	if p.UseGPU {
+		set, err := gpu.NewDeviceSet(p.Device, p.FineRM, max(p.Devices, 1))
 		if err != nil {
 			return nil, err
 		}
 		if p.Faults.Inject.Enabled() {
 			// Each member fails independently: derive a distinct injector seed
 			// per device so a profile-driven fault pattern does not kill the
-			// whole fleet in lockstep.
+			// whole fleet in lockstep. Device 0 keeps the profile's seed.
 			for i := 0; i < set.Size(); i++ {
 				cfg := p.Faults.Inject
 				cfg.Seed += uint64(i) * 0x9e3779b97f4a7c15
 				set.Device(i).SetFaultInjector(gpu.NewFaultInjector(cfg))
 			}
 		}
+		// Every member runs the checked discipline (retry with backoff,
+		// sampled verification); the shard scheduler moves a dead member's
+		// work to its peers and, once none is left, to bit-exact host
+		// execution.
 		sharded, err := ghe.NewShardedEngine(set, p.Faults.Check)
 		if err != nil {
 			return nil, err
@@ -90,32 +98,7 @@ func NewContext(p Profile) (*Context, error) {
 		}
 		ctx.DevSet = set
 		ctx.Sharded = sharded
-		ctx.Backend = backend
-	} else if p.UseGPU {
-		dev, err := gpu.New(p.Device, p.FineRM)
-		if err != nil {
-			return nil, err
-		}
-		if p.Faults.Inject.Enabled() {
-			dev.SetFaultInjector(gpu.NewFaultInjector(p.Faults.Inject))
-		}
-		eng, err := ghe.NewEngine(dev)
-		if err != nil {
-			return nil, err
-		}
-		// All GPU profiles run through the checked engine: launch failures
-		// retry with backoff, sampled results are verified, and a Failed
-		// device transparently fails over to bit-exact host execution.
-		checked, err := ghe.NewCheckedEngine(eng, p.Faults.Check)
-		if err != nil {
-			return nil, err
-		}
-		backend, err := paillier.NewGPUBackend(checked)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Device = dev
-		ctx.Checked = checked
+		ctx.Device = set.Device(0)
 		ctx.Backend = backend
 	} else {
 		ctx.Backend = paillier.CPUBackend{}
@@ -136,11 +119,7 @@ func NewContext(p Profile) (*Context, error) {
 		ctx.AttachObs(obs.New(p.Seed), string(p.System))
 	}
 	if p.UseGPU && p.NoncePool > 0 {
-		var eng ghe.StreamEngine = ctx.Checked
-		if ctx.Sharded != nil {
-			eng = ctx.Sharded
-		}
-		pool, err := paillier.NewNoncePool(&key.PublicKey, eng, 0)
+		pool, err := paillier.NewNoncePool(&key.PublicKey, ctx.Sharded, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -199,7 +178,7 @@ func sanitizeLabel(label string) string {
 
 // AttachObs wires the observability bundle into the context and its layers:
 // the cost accumulator mirrors counters into o's registry under
-// "fl.<label>", and the device (if any) records sim-time spans under the
+// "fl.<label>", and the device set (if any) records sim-time spans under the
 // party "<label>.gpu". A nil bundle detaches. Labels distinguish contexts
 // sharing one bundle; an empty label falls back to the profile's system.
 func (c *Context) AttachObs(o *obs.Obs, label string) {
@@ -210,9 +189,6 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	c.Obs = o
 	c.obsPrefix = label
 	c.Costs.Observe(o.Metrics(), "fl."+label)
-	if c.Device != nil {
-		c.Device.SetRecorder(o.Recorder(), label+".gpu")
-	}
 	if c.DevSet != nil {
 		c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
 	}
@@ -222,24 +198,17 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 // unattached).
 func (c *Context) ObsLabel() string { return c.obsPrefix }
 
-// PublishMetrics pulls the current layer statistics — device, checked
-// engine — into the attached registry as absolute counters/gauges under
-// "gpu.<label>" and "ghe.<label>". No-op without an attached bundle.
+// PublishMetrics pulls the current layer statistics — device set, sharded
+// engine, nonce pool — into the attached registry as absolute
+// counters/gauges under "gpu.<label>", "ghe.<label>", and "pool.<label>".
+// No-op without an attached bundle.
 func (c *Context) PublishMetrics() {
 	if c.Obs == nil {
 		return
 	}
 	reg := c.Obs.Metrics()
-	if c.Device != nil {
-		c.Device.PublishMetrics(reg, "gpu."+c.obsPrefix)
-	}
 	if c.DevSet != nil {
 		c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
-	}
-	if c.Checked != nil {
-		c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
-	}
-	if c.Sharded != nil {
 		c.Sharded.PublishMetrics(reg, "ghe."+c.obsPrefix)
 	}
 	if c.Pool != nil {
@@ -300,8 +269,7 @@ func (c *Context) ReconcileObs() error {
 // reconcileDevSet asserts the published per-device metric rows sum to the
 // device set's aggregate row for every additive counter — the invariant that
 // sharded dispatch never loses or double-counts device work. Publishes first
-// so the rows reflect current stats; a no-op on single-device and CPU
-// profiles.
+// so the rows reflect current stats; a no-op on CPU profiles.
 func (c *Context) reconcileDevSet(reg *obs.Registry) error {
 	if c.DevSet == nil {
 		return nil
@@ -382,26 +350,20 @@ func (c *Context) peekSeed() uint64 {
 	return c.seed*6364136223846793005 + 1442695040888963407
 }
 
-// simDelta reads the device's modelled time before/after a batch. For CPU
-// profiles the modelled time equals the measured wall time.
+// simBase and simSince read the device set's modelled time before/after a
+// batch. For CPU profiles the modelled time equals the measured wall time.
 func (c *Context) simBase() time.Duration {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().SimTime()
-	case c.DevSet != nil:
-		return c.DevSet.SimTime()
+	if c.DevSet == nil {
+		return 0
 	}
-	return 0
+	return c.DevSet.SimTime()
 }
 
 func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().SimTime() - base
-	case c.DevSet != nil:
-		return c.DevSet.SimTime() - base
+	if c.DevSet == nil {
+		return wall
 	}
-	return wall
+	return c.DevSet.SimTime() - base
 }
 
 // EncodePlaintexts converts a gradient vector into HE plaintexts: always
@@ -519,7 +481,7 @@ func (c *Context) EncryptGradientsStream(grads []float64, emit func(index int, c
 		}
 		wall := time.Since(start)
 		heSim := seqSim
-		if c.Device == nil && c.DevSet == nil {
+		if c.DevSet == nil {
 			heSim = wall
 		}
 		c.Costs.AddHE(wall, heSim, int64(len(cts)), int64(hi-lo))
@@ -711,16 +673,13 @@ func (c *Context) TrackOther(fn func()) {
 	c.Costs.AddOther(time.Since(start))
 }
 
-// Utilization reports the device's average SM utilization (0 for CPU
+// Utilization reports the devices' average SM utilization (0 for CPU
 // profiles) — the Fig. 6 reading.
 func (c *Context) Utilization() float64 {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().AvgUtilization()
-	case c.DevSet != nil:
-		return c.DevSet.AvgUtilization()
+	if c.DevSet == nil {
+		return 0
 	}
-	return 0
+	return c.DevSet.AvgUtilization()
 }
 
 // FaultReport aggregates the context's device fault, retry, and fallback
@@ -741,49 +700,32 @@ type FaultReport struct {
 	Checked ghe.CheckedStats
 }
 
-// FaultReport returns the current fault/resilience counters. Multi-device
-// profiles report fleet-wide sums: the worst member health, every member's
-// injector decisions, and the sharded engine's checked-layer view.
+// FaultReport returns the current fault/resilience counters, summed over
+// the device set: the worst member health, every member's injector
+// decisions, and the sharded engine's checked-layer view. The wall time of
+// ops the scheduler served on the host counts as fault time.
 func (c *Context) FaultReport() FaultReport {
-	if c.DevSet != nil {
-		ds := c.DevSet.StatsSum()
-		rep := FaultReport{
-			Health:         ds.Health,
-			LaunchFailures: ds.LaunchFailures,
-			WatchdogTrips:  ds.WatchdogTrips,
-			SimFaultTime:   ds.SimFaultTime,
-		}
-		for i := 0; i < c.DevSet.Size(); i++ {
-			if fi := c.DevSet.Device(i).Injector(); fi != nil {
-				fs := fi.Stats()
-				rep.Injected.Launches += fs.Launches
-				rep.Injected.Aborts += fs.Aborts
-				rep.Injected.Corruptions += fs.Corruptions
-				rep.Injected.Stalls += fs.Stalls
-				rep.Injected.OOMs += fs.OOMs
-				rep.Injected.Kills += fs.Kills
-			}
-		}
-		if c.Sharded != nil {
-			rep.Checked = c.Sharded.Stats()
-		}
-		return rep
-	}
-	if c.Device == nil {
+	if c.DevSet == nil {
 		return FaultReport{Health: gpu.DeviceHealthy}
 	}
-	ds := c.Device.Stats()
+	ds := c.DevSet.StatsSum()
 	rep := FaultReport{
 		Health:         ds.Health,
 		LaunchFailures: ds.LaunchFailures,
 		WatchdogTrips:  ds.WatchdogTrips,
-		SimFaultTime:   ds.SimFaultTime,
+		SimFaultTime:   ds.SimFaultTime + c.DevSet.Stats().HostSim,
+		Checked:        c.Sharded.Stats(),
 	}
-	if fi := c.Device.Injector(); fi != nil {
-		rep.Injected = fi.Stats()
-	}
-	if c.Checked != nil {
-		rep.Checked = c.Checked.Stats()
+	for _, d := range c.DevSet.Devices() {
+		if fi := d.Injector(); fi != nil {
+			fs := fi.Stats()
+			rep.Injected.Launches += fs.Launches
+			rep.Injected.Aborts += fs.Aborts
+			rep.Injected.Corruptions += fs.Corruptions
+			rep.Injected.Stalls += fs.Stalls
+			rep.Injected.OOMs += fs.OOMs
+			rep.Injected.Kills += fs.Kills
+		}
 	}
 	return rep
 }

@@ -58,11 +58,11 @@ type Profile struct {
 	FineRM bool
 	// Device is the GPU model for GPU profiles.
 	Device gpu.Config
-	// Devices is the simulated device count for GPU profiles: values of 1 or
-	// more build a gpu.DeviceSet of that many Device-configured members and
-	// shard every vector HE op across them (work stealing under faults, merged
-	// max-over-devices clock). Zero keeps the classic single-device engine.
-	// Ignored on CPU profiles.
+	// Devices is the simulated device count for GPU profiles: every GPU
+	// profile runs on a gpu.DeviceSet of max(Devices, 1) Device-configured
+	// members and shards every vector HE op across them (work stealing
+	// under faults, merged max-over-devices clock), so 0 and 1 both mean one
+	// device. Ignored on CPU profiles.
 	Devices int
 	// Seed drives every random choice for reproducibility.
 	Seed uint64
@@ -82,9 +82,9 @@ type Profile struct {
 	// (all parties required, no deadline, no retransmission).
 	Round RoundPolicy
 	// Faults governs fault tolerance of the GPU-HE substrate: device fault
-	// injection and the checked-execution policy (retries, verification,
-	// CPU fallback). The zero value injects nothing and checks with
-	// defaults. Ignored on CPU profiles.
+	// injection and the checked-execution policy (retries, verification).
+	// Work no device can serve runs on the host. The zero value injects
+	// nothing and checks with defaults. Ignored on CPU profiles.
 	Faults FaultPolicy
 	// Byz arms the seeded Byzantine-client injector: a fixed compromised
 	// cohort rewrites its gradient uploads per the configured attack model.

@@ -38,12 +38,6 @@ type CheckedConfig struct {
 	VerifyFraction float64
 	// VerifySeed drives the sampling of verified indices.
 	VerifySeed uint64
-	// NoHostFallback disables the CPU fallback entirely: an op that exhausts
-	// its retry budget, or hits a Failed device, surfaces its typed
-	// *gpu.KernelError instead of being served by the host. This is the mode
-	// a DeviceSet member runs in — the shard scheduler owns failover, and a
-	// per-device silent fallback would hide the fault from it.
-	NoHostFallback bool
 }
 
 // withDefaults fills unset fields.
@@ -73,28 +67,34 @@ type CheckedStats struct {
 	// corruptions they caught.
 	VerifySamples  int64
 	VerifyFailures int64
-	// FallbackOps counts operations served by the host engine; FallbackWall
-	// is the host time they took (degraded-mode cost, recorded separately).
+	// FallbackOps counts operations served on the host after the device
+	// could not serve them; FallbackWall is the host time they took
+	// (degraded-mode cost, recorded separately). A CheckedEngine never
+	// serves from the host itself: these count the ShardedEngine's
+	// scheduler fallback.
 	FallbackOps  int64
 	FallbackWall time.Duration
 	// BackoffSim is the simulated retry backoff charged to the device clock.
 	BackoffSim time.Duration
 	// FellBack reports the permanent failover latch: the device reached
-	// Failed and every subsequent op runs on the host.
+	// Failed and every subsequent op fails at once with a typed
+	// FaultDeviceFailed error.
 	FellBack bool
 }
 
 // CheckedEngine wraps a device Engine with the execution discipline a
 // production GPU-HE deployment needs (DESIGN.md §7): typed launch failures
 // are retried with capped exponential backoff, successful kernels are
-// spot-verified by host residue checks, a device the health machine
-// declares Failed is transparently replaced by the bit-exact CPUEngine, and
-// every fault, retry, and fallback is counted.
+// spot-verified by host residue checks, and every fault and retry is
+// counted. It fails fast: an op that exhausts its retry budget, or runs on
+// a device the health machine declared Failed, surfaces its typed
+// *gpu.KernelError. Failover belongs to the layer above: a ShardedEngine
+// moves the work to the set's other devices and, once none is left, to the
+// bit-exact host engine.
 type CheckedEngine struct {
-	dev  *gpu.Device
-	eng  *Engine
-	host *CPUEngine
-	cfg  CheckedConfig
+	dev *gpu.Device
+	eng *Engine
+	cfg CheckedConfig
 
 	mu    sync.Mutex
 	rng   *mpint.RNG
@@ -108,11 +108,10 @@ func NewCheckedEngine(e *Engine, cfg CheckedConfig) (*CheckedEngine, error) {
 	}
 	cfg = cfg.withDefaults()
 	return &CheckedEngine{
-		dev:  e.Device(),
-		eng:  e,
-		host: NewCPUEngine(),
-		cfg:  cfg,
-		rng:  mpint.NewRNG(cfg.VerifySeed),
+		dev: e.Device(),
+		eng: e,
+		cfg: cfg,
+		rng: mpint.NewRNG(cfg.VerifySeed),
 	}, nil
 }
 
@@ -160,19 +159,16 @@ func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 }
 
 // execute runs one vector op of n result elements under the checked
-// discipline. gpuOp and hostOp run the op on the respective substrate;
-// expect recomputes element i on the host for verification; got reads
-// element i of the current attempt's result.
-func (c *CheckedEngine) execute(op string, n int, gpuOp, hostOp func() error, expect, got func(i int) mpint.Nat) error {
+// discipline. gpuOp runs the op on the device; expect recomputes element i
+// on the host for verification; got reads element i of the current
+// attempt's result.
+func (c *CheckedEngine) execute(op string, n int, gpuOp func() error, expect, got func(i int) mpint.Nat) error {
 	c.mu.Lock()
 	c.stats.Ops++
 	fellBack := c.stats.FellBack
 	c.mu.Unlock()
 	if fellBack {
-		if c.cfg.NoHostFallback {
-			return &gpu.KernelError{Kind: gpu.FaultDeviceFailed, Kernel: op}
-		}
-		return c.runHost(hostOp)
+		return &gpu.KernelError{Kind: gpu.FaultDeviceFailed, Kernel: op}
 	}
 	var lastKerr *gpu.KernelError
 	for attempt := 0; ; attempt++ {
@@ -200,19 +196,12 @@ func (c *CheckedEngine) execute(op string, n int, gpuOp, hostOp func() error, ex
 			c.mu.Lock()
 			c.stats.FellBack = true
 			c.mu.Unlock()
-			if c.cfg.NoHostFallback {
-				return lastKerr
-			}
-			return c.runHost(hostOp)
+			return lastKerr
 		}
 		if attempt >= c.cfg.MaxRetries {
-			// Retry budget spent without the device being declared dead: serve
-			// this op from the host but keep the device in rotation — unless
-			// failover belongs to the layer above.
-			if c.cfg.NoHostFallback {
-				return lastKerr
-			}
-			return c.runHost(hostOp)
+			// Retry budget spent without the device being declared dead: the
+			// device stays in rotation for later ops.
+			return lastKerr
 		}
 		backoff := c.cfg.Backoff << uint(attempt)
 		if backoff > c.cfg.BackoffCap {
@@ -224,20 +213,6 @@ func (c *CheckedEngine) execute(op string, n int, gpuOp, hostOp func() error, ex
 		c.stats.BackoffSim += backoff
 		c.mu.Unlock()
 	}
-}
-
-// runHost executes the op on the host engine, charging the wall time to the
-// device's modelled clock so degraded rounds report their true cost.
-func (c *CheckedEngine) runHost(hostOp func() error) error {
-	start := time.Now()
-	err := hostOp()
-	wall := time.Since(start)
-	c.dev.ChargeFaultTime(wall)
-	c.mu.Lock()
-	c.stats.FallbackOps++
-	c.stats.FallbackWall += wall
-	c.mu.Unlock()
-	return err
 }
 
 // spotCheck verifies ceil(VerifyFraction·n) sampled elements by residue
@@ -296,7 +271,6 @@ func (c *CheckedEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mon
 	var out []mpint.Nat
 	err := c.execute("mod_exp_vec", len(bases),
 		func() (err error) { out, err = c.eng.ModExpVec(bases, exp, m); return },
-		func() (err error) { out, err = c.host.ModExpVec(bases, exp, m); return },
 		func(i int) mpint.Nat { return m.Exp(bases[i], exp) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {
@@ -310,7 +284,6 @@ func (c *CheckedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]
 	var out []mpint.Nat
 	err := c.execute("mod_exp_var_vec", len(bases),
 		func() (err error) { out, err = c.eng.ModExpVarVec(bases, exps, m); return },
-		func() (err error) { out, err = c.host.ModExpVarVec(bases, exps, m); return },
 		func(i int) mpint.Nat { return m.Exp(bases[i], exps[i]) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {
@@ -327,7 +300,6 @@ func (c *CheckedEngine) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpi
 	var out []mpint.Nat
 	err := c.execute("fixed_base_exp_vec", len(exps),
 		func() (err error) { out, err = c.eng.FixedBaseExpVec(base, exps, m); return },
-		func() (err error) { out, err = c.host.FixedBaseExpVec(base, exps, m); return },
 		func(i int) mpint.Nat { return m.Exp(base, exps[i]) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {
@@ -343,7 +315,6 @@ func (c *CheckedEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat,
 	var out []mpint.Nat
 	err := c.execute("mod_mul_vec", len(a),
 		func() (err error) { out, err = c.eng.ModMulVec(a, b, m); return },
-		func() (err error) { out, err = c.host.ModMulVec(a, b, m); return },
 		func(i int) mpint.Nat { return mpint.ModMul(a[i], b[i], m.N()) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {
@@ -359,7 +330,6 @@ func (c *CheckedEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint
 	var out []mpint.Nat
 	err := c.execute("rand_coprime_vec", n,
 		func() (err error) { out, err = c.eng.RandCoprimeVec(n, m, seed); return },
-		func() (err error) { out, err = c.host.RandCoprimeVec(n, m, seed); return },
 		func(i int) mpint.Nat { return randCoprimeAt(seed, i, m) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {

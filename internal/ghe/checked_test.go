@@ -18,6 +18,25 @@ func checkedEngine(t testing.TB, inject gpu.FaultConfig, cfg CheckedConfig) *Che
 	return MustCheckedEngine(MustEngine(dev), cfg)
 }
 
+// failoverEngine builds a one-device ShardedEngine — a checked engine whose
+// failed ops the shard scheduler serves on the host — over a small device
+// with the given fault injection and checking policy.
+func failoverEngine(t testing.TB, inject gpu.FaultConfig, cfg CheckedConfig) *ShardedEngine {
+	t.Helper()
+	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inject.Enabled() {
+		set.Device(0).SetFaultInjector(gpu.NewFaultInjector(inject))
+	}
+	s, err := NewShardedEngine(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestCPUEngineParityWithDevice(t *testing.T) {
 	eng := testEngine(t)
 	host := NewCPUEngine()
@@ -103,7 +122,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 // verification, the residue check catches each attempt, the health machine
 // fails the device, and the op completes correctly on the host.
 func TestCheckedCatchesCorruption(t *testing.T) {
-	c := checkedEngine(t,
+	c := failoverEngine(t,
 		gpu.FaultConfig{Seed: 3, CorruptProb: 1},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 3})
 	r := mpint.NewRNG(9)
@@ -135,10 +154,10 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 	if st.FellBack {
 		t.Fatalf("corruption alone must not latch permanent failover: %+v", st)
 	}
-	if h := c.Device().Health(); h == gpu.DeviceFailed {
+	if h := c.Set().Device(0).Health(); h == gpu.DeviceFailed {
 		t.Fatal("silent corruption should not latch the device Failed")
 	}
-	if c.Device().Stats().FaultCorruptions == 0 {
+	if c.Set().Device(0).Stats().FaultCorruptions == 0 {
 		t.Fatal("detected corruptions were not fed back into the device counters")
 	}
 }
@@ -210,7 +229,7 @@ func TestSampleIndicesWithoutReplacement(t *testing.T) {
 // the results are bit-exact with a healthy device.
 func TestCheckedFailoverBitExact(t *testing.T) {
 	clean := testEngine(t)
-	c := checkedEngine(t, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}, CheckedConfig{})
+	c := failoverEngine(t, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}, CheckedConfig{})
 	r := mpint.NewRNG(10)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -245,7 +264,7 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 	if !st.FellBack || st.FallbackOps == 0 || st.FallbackWall <= 0 {
 		t.Fatalf("failover latch not recorded: %+v", st)
 	}
-	if h := c.Device().Health(); h != gpu.DeviceFailed {
+	if h := c.Set().Device(0).Health(); h != gpu.DeviceFailed {
 		t.Fatalf("killed device health %s, want failed", h)
 	}
 }

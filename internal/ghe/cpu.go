@@ -9,9 +9,9 @@ import (
 // VectorEngine is the vector interface of the GPU-HE layer as consumed by
 // the Paillier backend: batched modular exponentiation, modular
 // multiplication, and nonce generation. Engine (device), CheckedEngine
-// (device + verification + retry + failover), and CPUEngine (pure host)
-// all implement it, so callers degrade between substrates without code
-// changes.
+// (device + verification + retry), ShardedEngine (a device set + failover
+// across devices and to the host), and CPUEngine (pure host) all implement
+// it, so callers degrade between substrates without code changes.
 type VectorEngine interface {
 	// ModExpVec computes bases[i]^exp mod m.N() for every i.
 	ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
@@ -33,9 +33,9 @@ var (
 )
 
 // CPUEngine executes the vector interface serially on the host — the
-// degraded-mode substrate a CheckedEngine fails over to when its device
-// dies. Every method runs exactly the arithmetic of the matching device
-// kernel (same mpint routines, same per-item stream derivation), so
+// degraded-mode substrate a ShardedEngine fails over to when no device of
+// its set is left. Every method runs exactly the arithmetic of the matching
+// device kernel (same mpint routines, same per-item stream derivation), so
 // fallback results are bit-exact with healthy device results.
 type CPUEngine struct{}
 

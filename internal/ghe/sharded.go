@@ -2,6 +2,7 @@ package ghe
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"flbooster/internal/gpu"
@@ -27,17 +28,70 @@ type OfflineEngine interface {
 
 // ShardedEngine runs every vector HE op across a gpu.DeviceSet: the op
 // splits into contiguous shards, each shard executes on its member device
-// under the per-device checked discipline (retry + spot-verification, no
-// host fallback — the scheduler owns failover), and shard results land in
-// their exact positions of one output vector. Bit-exactness with a
-// sequential engine holds by construction: every element is computed by the
-// same kernel arithmetic at the same index, and nonce streams stay keyed by
-// global item position, so no schedule — including mid-batch device death
-// and work stealing — can change a single output bit.
+// under the per-device checked discipline (retry + spot-verification; the
+// scheduler owns failover), and shard results land in their exact
+// positions of one output vector. Bit-exactness with a sequential engine
+// holds by construction: every element is computed by the same kernel
+// arithmetic at the same index, and nonce streams stay keyed by global item
+// position, so no schedule — including mid-batch device death and work
+// stealing — can change a single output bit.
 type ShardedEngine struct {
 	set  *gpu.DeviceSet
 	subs []*CheckedEngine
 	host *CPUEngine
+
+	// mu serializes ops (the set runs one at a time anyway) and guards the
+	// in-flight op and its output. runShard and hostShard are bound once, so
+	// dispatching an op builds no closures.
+	mu        sync.Mutex
+	op        vecOp
+	n         int
+	out       []mpint.Nat
+	runShard  func(dev int, sh gpu.Shard) error
+	hostShard func(sh gpu.Shard) error
+}
+
+// opKind names the vector op a vecOp describes.
+type opKind uint8
+
+const (
+	opModExp opKind = iota
+	opModExpVar
+	opFixedBaseExp
+	opModMul
+	opRandCoprime
+)
+
+// vecOp is one vector op as data: the sharded engine hands any item range
+// of it to a member's checked engine or to the host without building a
+// closure per op.
+type vecOp struct {
+	kind opKind
+	// a holds the bases (or first factors); b the per-item exponents (or
+	// second factors).
+	a, b []mpint.Nat
+	// x is the shared exponent of opModExp, the shared base of
+	// opFixedBaseExp, and the modulus of opRandCoprime.
+	x    mpint.Nat
+	m    *mpint.Mont
+	base int // opRandCoprime: stream position of item 0
+	seed uint64
+}
+
+// run executes items [sh.Lo, sh.Hi) of op on e.
+func (op *vecOp) run(e StreamEngine, sh gpu.Shard) ([]mpint.Nat, error) {
+	switch op.kind {
+	case opModExp:
+		return e.ModExpVec(op.a[sh.Lo:sh.Hi], op.x, op.m)
+	case opModExpVar:
+		return e.ModExpVarVec(op.a[sh.Lo:sh.Hi], op.b[sh.Lo:sh.Hi], op.m)
+	case opFixedBaseExp:
+		return e.FixedBaseExpVec(op.x, op.b[sh.Lo:sh.Hi], op.m)
+	case opModMul:
+		return e.ModMulVec(op.a[sh.Lo:sh.Hi], op.b[sh.Lo:sh.Hi], op.m)
+	default:
+		return e.RandCoprimeRange(op.base+sh.Lo, sh.Len(), op.x, op.seed)
+	}
 }
 
 // The sharded substrate is a drop-in streamed engine.
@@ -49,15 +103,12 @@ var (
 )
 
 // NewShardedEngine wraps a device set. Each member device gets its own
-// CheckedEngine with the given policy, forced into NoHostFallback mode so a
-// shard the device cannot serve surfaces its typed fault to the scheduler
-// (which re-queues it) instead of silently degrading that device to host
-// execution.
+// CheckedEngine with the given policy; a shard the device cannot serve
+// surfaces its typed fault to the scheduler, which re-queues it.
 func NewShardedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*ShardedEngine, error) {
 	if set == nil {
 		return nil, fmt.Errorf("ghe: NewShardedEngine needs a device set")
 	}
-	cfg.NoHostFallback = true
 	subs := make([]*CheckedEngine, set.Size())
 	for i := range subs {
 		eng, err := NewEngine(set.Device(i))
@@ -70,20 +121,33 @@ func NewShardedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*ShardedEngine, er
 		}
 		subs[i] = sub
 	}
-	return &ShardedEngine{set: set, subs: subs, host: NewCPUEngine()}, nil
+	s := &ShardedEngine{set: set, subs: subs, host: NewCPUEngine()}
+	s.runShard = func(dev int, sh gpu.Shard) error {
+		res, err := s.op.run(s.subs[dev], sh)
+		return s.place(sh, res, err)
+	}
+	s.hostShard = func(sh gpu.Shard) error {
+		res, err := s.op.run(s.host, sh)
+		return s.place(sh, res, err)
+	}
+	return s, nil
 }
 
 // Set exposes the underlying device set.
 func (s *ShardedEngine) Set() *gpu.DeviceSet { return s.set }
 
-// Sub exposes member device i's checked engine (tests and fault reports).
-func (s *ShardedEngine) Sub(i int) *CheckedEngine { return s.subs[i] }
-
-// StreamDevice implements StreamEngine. A sharded engine spans devices, so
-// there is no single device for a caller-driven pipeline; callers skip
-// per-chunk overlap scheduling and read the set's merged clock instead
-// (SimNow), while each member device still pipelines internally.
-func (s *ShardedEngine) StreamDevice() *gpu.Device { return nil }
+// StreamDevice implements StreamEngine. On a one-device set it is that
+// device: callers schedule their chunks on its streams, and the stream
+// credit lands on the device counters outside any set wave, so the set's
+// merged clock (SimNow), which callers read for cost, stays the sequential
+// span. A multi-device set has no single device to pipeline on, so it
+// returns nil and callers skip per-chunk overlap scheduling.
+func (s *ShardedEngine) StreamDevice() *gpu.Device {
+	if s.set.Size() == 1 {
+		return s.set.Device(0)
+	}
+	return nil
+}
 
 // SimNow implements SimClock: the set's merged online clock.
 func (s *ShardedEngine) SimNow() time.Duration { return s.set.SimTime() }
@@ -92,8 +156,12 @@ func (s *ShardedEngine) SimNow() time.Duration { return s.set.SimTime() }
 func (s *ShardedEngine) BeginOffline() func() time.Duration { return s.set.BeginOffline() }
 
 // Stats aggregates the checked-layer counters across the member engines.
+// Host fallback is the scheduler's: an op it served on the host once no
+// device was left counts as one fallback op, and the host's wall time as
+// fallback wall.
 func (s *ShardedEngine) Stats() CheckedStats {
-	var agg CheckedStats
+	set := s.set.Stats()
+	agg := CheckedStats{FallbackOps: set.HostOps, FallbackWall: set.HostSim}
 	for _, sub := range s.subs {
 		st := sub.Stats()
 		agg.Ops += st.Ops
@@ -101,16 +169,14 @@ func (s *ShardedEngine) Stats() CheckedStats {
 		agg.Retries += st.Retries
 		agg.VerifySamples += st.VerifySamples
 		agg.VerifyFailures += st.VerifyFailures
-		agg.FallbackOps += st.FallbackOps
-		agg.FallbackWall += st.FallbackWall
 		agg.BackoffSim += st.BackoffSim
 		agg.FellBack = agg.FellBack || st.FellBack
 	}
 	return agg
 }
 
-// PublishMetrics publishes the aggregate checked-layer counters under
-// prefix, plus per-device rows under prefix+".dev<i>".
+// PublishMetrics publishes the aggregate checked-layer and comb-table
+// counters under prefix, plus per-device rows under prefix+".dev<i>".
 func (s *ShardedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 	agg := s.Stats()
 	reg.Set(prefix+".ops", agg.Ops)
@@ -121,6 +187,16 @@ func (s *ShardedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".fallback_ops", agg.FallbackOps)
 	reg.Set(prefix+".fallback_wall_ns", int64(agg.FallbackWall))
 	reg.Set(prefix+".backoff_sim_ns", int64(agg.BackoffSim))
+	var tables TableStats
+	for _, sub := range s.subs {
+		ts := sub.eng.TableStats()
+		tables.Builds += ts.Builds
+		tables.Entries += ts.Entries
+		tables.Ops += ts.Ops
+	}
+	reg.Set(prefix+".table_builds", tables.Builds)
+	reg.Set(prefix+".table_entries", tables.Entries)
+	reg.Set(prefix+".table_ops", tables.Ops)
 	fell := 0.0
 	if agg.FellBack {
 		fell = 1
@@ -131,54 +207,61 @@ func (s *ShardedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 	}
 }
 
-// run shards one n-element vector op across the set. devOp serves a shard
-// on one member's checked engine; hostOp is the all-devices-dead fallback.
-// Both return exactly sh.Len() elements, copied into the shard's slots.
-func (s *ShardedEngine) run(name string, n int, bytesPerItem int64,
-	devOp func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error),
-	hostOp func(sh gpu.Shard) ([]mpint.Nat, error)) ([]mpint.Nat, error) {
-	out := make([]mpint.Nat, n)
-	place := func(sh gpu.Shard, res []mpint.Nat) error {
-		if len(res) != sh.Len() {
-			return fmt.Errorf("ghe: sharded %s returned %d elements for %d-item shard", name, len(res), sh.Len())
-		}
-		copy(out[sh.Lo:sh.Hi], res)
-		return nil
+// run shards one n-element vector op across the set: each shard runs on
+// its member's checked engine, or on the host once every device is
+// excluded, and its results land in the shard's slots of the output.
+func (s *ShardedEngine) run(name string, n int, bytesPerItem int64, op vecOp) ([]mpint.Nat, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.op, s.n, s.out = op, n, nil
+	if s.set.Size() > 1 {
+		// Shards land concurrently in their slots of one output vector.
+		s.out = make([]mpint.Nat, n)
 	}
 	err := s.set.Run(gpu.ShardOp{
 		Name:         name,
 		Items:        n,
 		BytesPerItem: bytesPerItem,
-		Run: func(dev int, sh gpu.Shard) error {
-			res, err := devOp(s.subs[dev], sh)
-			if err != nil {
-				return err
-			}
-			return place(sh, res)
-		},
-		Host: func(sh gpu.Shard) error {
-			res, err := hostOp(sh)
-			if err != nil {
-				return err
-			}
-			return place(sh, res)
-		},
+		Run:          s.runShard,
+		Host:         s.hostShard,
 	})
+	out := s.out
+	s.op, s.out = vecOp{}, nil
 	if err != nil {
 		return nil, err
 	}
+	if out == nil {
+		out = make([]mpint.Nat, n) // n == 0: nothing ran
+	}
 	return out, nil
+}
+
+// place stores one finished shard's results in its slots of the output.
+// The output is nil only on a one-device set, whose shards run one at a
+// time: a shard covering the whole op becomes the output as it is, and any
+// other shard allocates the output before copying into it.
+func (s *ShardedEngine) place(sh gpu.Shard, res []mpint.Nat, err error) error {
+	if err != nil {
+		return err
+	}
+	if len(res) != sh.Len() {
+		return fmt.Errorf("ghe: sharded op returned %d elements for %d-item shard", len(res), sh.Len())
+	}
+	if s.out == nil {
+		if sh.Lo == 0 && sh.Hi == s.n {
+			s.out = res
+			return nil
+		}
+		s.out = make([]mpint.Nat, s.n)
+	}
+	copy(s.out[sh.Lo:sh.Hi], res)
+	return nil
 }
 
 // ModExpVec implements VectorEngine.
 func (s *ShardedEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	return s.run("mod_exp_vec", len(bases), int64(m.Limbs())*4,
-		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
-			return sub.ModExpVec(bases[sh.Lo:sh.Hi], exp, m)
-		},
-		func(sh gpu.Shard) ([]mpint.Nat, error) {
-			return s.host.ModExpVec(bases[sh.Lo:sh.Hi], exp, m)
-		})
+		vecOp{kind: opModExp, a: bases, x: exp, m: m})
 }
 
 // ModExpVarVec implements VectorEngine.
@@ -187,12 +270,7 @@ func (s *ShardedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]
 		return nil, fmt.Errorf("ghe: ModExpVarVec length mismatch %d vs %d", len(bases), len(exps))
 	}
 	return s.run("mod_exp_var_vec", len(bases), int64(m.Limbs())*8,
-		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
-			return sub.ModExpVarVec(bases[sh.Lo:sh.Hi], exps[sh.Lo:sh.Hi], m)
-		},
-		func(sh gpu.Shard) ([]mpint.Nat, error) {
-			return s.host.ModExpVarVec(bases[sh.Lo:sh.Hi], exps[sh.Lo:sh.Hi], m)
-		})
+		vecOp{kind: opModExpVar, a: bases, b: exps, m: m})
 }
 
 // FixedBaseExpVec implements VectorEngine. Each shard builds its member
@@ -200,12 +278,7 @@ func (s *ShardedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]
 // either way, so the shard boundary cannot change a bit.
 func (s *ShardedEngine) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	return s.run("fixed_base_exp_vec", len(exps), int64(m.Limbs())*4,
-		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
-			return sub.FixedBaseExpVec(base, exps[sh.Lo:sh.Hi], m)
-		},
-		func(sh gpu.Shard) ([]mpint.Nat, error) {
-			return s.host.FixedBaseExpVec(base, exps[sh.Lo:sh.Hi], m)
-		})
+		vecOp{kind: opFixedBaseExp, b: exps, x: base, m: m})
 }
 
 // ModMulVec implements VectorEngine.
@@ -214,12 +287,7 @@ func (s *ShardedEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat,
 		return nil, fmt.Errorf("ghe: ModMulVec length mismatch %d vs %d", len(a), len(b))
 	}
 	return s.run("mod_mul_vec", len(a), int64(m.Limbs())*8,
-		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
-			return sub.ModMulVec(a[sh.Lo:sh.Hi], b[sh.Lo:sh.Hi], m)
-		},
-		func(sh gpu.Shard) ([]mpint.Nat, error) {
-			return s.host.ModMulVec(a[sh.Lo:sh.Hi], b[sh.Lo:sh.Hi], m)
-		})
+		vecOp{kind: opModMul, a: a, b: b, m: m})
 }
 
 // RandCoprimeVec implements VectorEngine. The stream stays keyed by global
@@ -238,10 +306,5 @@ func (s *ShardedEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) 
 		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
 	}
 	return s.run("rand_coprime_vec", n, int64((m.BitLen()+31)/32)*4,
-		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
-			return sub.RandCoprimeRange(base+sh.Lo, sh.Len(), m, seed)
-		},
-		func(sh gpu.Shard) ([]mpint.Nat, error) {
-			return s.host.RandCoprimeRange(base+sh.Lo, sh.Len(), m, seed)
-		})
+		vecOp{kind: opRandCoprime, x: m, base: base, seed: seed})
 }

@@ -187,28 +187,79 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	}
 }
 
-// TestCheckedNoHostFallbackSurfacesTypedError: the scheduler-facing mode
-// must surface typed kernel errors instead of silently serving from the CPU.
+// TestCheckedNoHostFallbackSurfacesTypedError: a checked engine must surface
+// typed kernel errors to the scheduler instead of silently serving from the
+// CPU.
 func TestCheckedNoHostFallbackSurfacesTypedError(t *testing.T) {
 	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
 	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
-	c := MustCheckedEngine(MustEngine(dev), CheckedConfig{NoHostFallback: true})
+	c := MustCheckedEngine(MustEngine(dev), CheckedConfig{})
 	r := mpint.NewRNG(8)
 	nmod := r.RandPrime(96)
 	m := mpint.NewMont(nmod)
 	_, err := c.ModExpVec(randVec(r, 4, nmod), r.RandBits(32), m)
 	if err == nil {
-		t.Fatal("dead device with NoHostFallback must error")
+		t.Fatal("dead device must error")
 	}
 	if !gpu.IsKernelError(err) {
 		t.Fatalf("want typed *gpu.KernelError, got %v", err)
 	}
 	if st := c.Stats(); st.FallbackOps != 0 {
-		t.Fatalf("NoHostFallback must never serve from the host: %+v", st)
+		t.Fatalf("a checked engine must never serve from the host: %+v", st)
 	}
 	// The fellBack latch also surfaces typed, without touching the host.
 	_, err = c.ModExpVec(randVec(r, 4, nmod), r.RandBits(32), m)
 	if !gpu.IsKernelError(err) {
 		t.Fatalf("latched failure must stay typed, got %v", err)
+	}
+}
+
+// TestShardedStreamDevice: a one-device set pipelines on its only device; a
+// multi-device set has no single stream device.
+func TestShardedStreamDevice(t *testing.T) {
+	one := testShardedEngine(t, 1)
+	if one.StreamDevice() != one.Set().Device(0) {
+		t.Fatal("one-device set must stream on its device")
+	}
+	if testShardedEngine(t, 2).StreamDevice() != nil {
+		t.Fatal("multi-device set must report no stream device")
+	}
+}
+
+// TestShardedPlacesPartialHostShard: on a one-device set, a host shard
+// covering only part of the op lands in its slots of a full-length output.
+func TestShardedPlacesPartialHostShard(t *testing.T) {
+	s := testShardedEngine(t, 1)
+	r := mpint.NewRNG(3)
+	nmod := r.RandPrime(64)
+	s.n = 4
+	res := randVec(r, 2, nmod)
+	if err := s.place(gpu.Shard{Lo: 2, Hi: 4}, res, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.out) != 4 || s.out[0] != nil || mpint.Cmp(s.out[3], res[1]) != 0 {
+		t.Fatalf("partial shard placed as %v", s.out)
+	}
+}
+
+// TestShardedFallbackCountsOps: an op the scheduler serves on the host
+// counts as one fallback op, however many ranges the host served for it.
+func TestShardedFallbackCountsOps(t *testing.T) {
+	r := mpint.NewRNG(7)
+	nmod := r.RandPrime(96)
+	m := mpint.NewMont(nmod)
+	sh := testShardedEngine(t, 2)
+	for i := 0; i < 2; i++ {
+		sh.Set().Device(i).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
+	}
+	if _, err := sh.ModExpVec(randVec(r, 12, nmod), r.RandBits(64), m); err != nil {
+		t.Fatal(err)
+	}
+	set := sh.Set().Stats()
+	if set.HostOps != 1 || set.HostShards != 2 {
+		t.Fatalf("want 1 host op over 2 host shards: %+v", set)
+	}
+	if st := sh.Stats(); st.FallbackOps != 1 || st.FallbackWall != set.HostSim {
+		t.Fatalf("fallback counters %+v do not match the set's host fallback %+v", st, set)
 	}
 }

@@ -71,13 +71,12 @@ func (c *CheckedEngine) StreamDevice() *gpu.Device { return c.dev }
 
 // RandCoprimeRange implements StreamEngine under the checked discipline:
 // verification recomputes sampled items at their global positions, and a
-// chunk the device cannot produce fails over to the host with the exact
-// same values — the stream invariant survives per-chunk retry and failover.
+// retried chunk redraws the exact same values, so the stream invariant
+// survives per-chunk retry (and the sharded engine's host failover).
 func (c *CheckedEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
 	var out []mpint.Nat
 	err := c.execute("rand_coprime_vec", n,
 		func() (err error) { out, err = c.eng.RandCoprimeRange(base, n, m, seed); return },
-		func() (err error) { out, err = c.host.RandCoprimeRange(base, n, m, seed); return },
 		func(i int) mpint.Nat { return randCoprimeAt(seed, base+i, m) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {

@@ -94,7 +94,7 @@ func TestRandCoprimeRangeSurvivesRetry(t *testing.T) {
 // TestRandCoprimeRangeSurvivesFailover: the device dies mid-stream, later
 // chunks fail over to the host, and the concatenated stream stays bit-exact.
 func TestRandCoprimeRangeSurvivesFailover(t *testing.T) {
-	c := checkedEngine(t,
+	c := failoverEngine(t,
 		gpu.FaultConfig{Seed: 9, KillAtLaunch: 3},
 		CheckedConfig{MaxRetries: 2, VerifyFraction: 1})
 	r := mpint.NewRNG(43)
@@ -114,8 +114,8 @@ func TestRandCoprimeRangeSurvivesFailover(t *testing.T) {
 	if !st.FellBack || st.FallbackOps == 0 {
 		t.Fatalf("expected permanent failover mid-stream, got %+v", st)
 	}
-	if c.Device().Health() != gpu.DeviceFailed {
-		t.Fatalf("device health = %s, want failed", c.Device().Health())
+	if h := c.Set().Device(0).Health(); h != gpu.DeviceFailed {
+		t.Fatalf("device health = %s, want failed", h)
 	}
 }
 

@@ -568,23 +568,18 @@ func (d *Device) runParallel(items int, fn func(int), cancel <-chan struct{}) {
 		run(0, items)
 		return
 	}
+	// The caller works the first chunk itself, so a launch spawns one
+	// goroutine fewer than it has workers.
 	var wg sync.WaitGroup
 	chunk := (items + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > items {
-			hi = items
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := chunk; lo < items; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			run(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, items))
 	}
+	run(0, chunk)
 	wg.Wait()
 }
 

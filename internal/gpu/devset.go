@@ -36,23 +36,27 @@ func (s Shard) Len() int { return s.Hi - s.Lo }
 // back when n < parts (never a zero-length shard); n ≤ 0 or parts ≤ 0 yields
 // nil.
 func SplitShards(n, parts int) []Shard {
+	return appendShards(nil, n, parts)
+}
+
+// appendShards appends SplitShards(n, parts) to dst.
+func appendShards(dst []Shard, n, parts int) []Shard {
 	if n <= 0 || parts <= 0 {
-		return nil
+		return dst
 	}
 	if parts > n {
 		parts = n
 	}
-	out := make([]Shard, parts)
 	lo := 0
-	for i := range out {
+	for i := 0; i < parts; i++ {
 		size := n / parts
 		if i < n%parts {
 			size++
 		}
-		out[i] = Shard{Lo: lo, Hi: lo + size}
+		dst = append(dst, Shard{Lo: lo, Hi: lo + size})
 		lo += size
 	}
-	return out
+	return dst
 }
 
 // SetStats aggregates the scheduler's activity. Per-device kernel/copy/fault
@@ -66,8 +70,10 @@ type SetStats struct {
 	Shards int64
 	// Steals counts shards re-queued from a faulted device onto healthy ones.
 	Steals int64
-	// HostShards counts shards served by the host fallback after every device
-	// was excluded.
+	// HostOps counts ops that reached the host fallback after every device
+	// was excluded, once per op however many ranges the host served;
+	// HostShards counts those ranges.
+	HostOps    int64
 	HostShards int64
 	// RebalanceSim is the modelled time the rework waves added to the
 	// parallel span — the price of migration, included in SimParallelTime.
@@ -101,6 +107,26 @@ type DeviceSet struct {
 	// re-upload its rerun performs.
 	p2pLatencySec  float64
 	p2pBytesPerSec float64
+
+	// Run's scratch, reused across ops under mu so a vector op allocates
+	// nothing in the scheduler: one slot per member device, the eligible
+	// device list, the ranges awaiting a device, a range's split, and the
+	// join of the wave participants that run on their own goroutines.
+	slots   []devSlot
+	elig    []int
+	pending []Shard
+	pieces  []Shard
+	wave    sync.WaitGroup
+}
+
+// devSlot is one member's share of the op Run is executing.
+type devSlot struct {
+	queue     []Shard       // shards for the current wave, in order
+	base      time.Duration // the device clock at the wave start
+	migration time.Duration // P2P charge for the stolen input it received
+	failedAt  int           // index of its first typed failure, -1 if none
+	fatal     error         // a non-device error, which aborts the op
+	excluded  bool          // it failed a shard earlier in this op
 }
 
 // NewDeviceSet builds n devices from one configuration. Each device gets its
@@ -123,7 +149,7 @@ func NewDeviceSet(cfg Config, fineRM bool, n int) (*DeviceSet, error) {
 		d.SetDeviceLabel(fmt.Sprintf("dev%d", i))
 		devs[i] = d
 	}
-	return &DeviceSet{devs: devs}, nil
+	return &DeviceSet{devs: devs, slots: make([]devSlot, n)}, nil
 }
 
 // Size returns the device count.
@@ -274,18 +300,12 @@ type ShardOp struct {
 	Host func(sh Shard) error
 }
 
-// devOutcome is one device's result for a wave: the shards it could not
-// finish (typed failures re-queue them) or a fatal non-device error.
-type devOutcome struct {
-	failed []Shard
-	fatal  error
-}
-
 // Run executes op across the set: split into one shard per eligible device,
-// run the wave in parallel (each device walks its shards in order on its
-// own goroutine), then re-queue anything a faulted device left behind onto
-// the remaining devices — subdivided, so stolen work is itself parallel —
-// until the op completes, falling back to the host when no device remains.
+// run the wave in parallel (each device walks its shards in order, the
+// first participant on the calling goroutine and the rest on their own),
+// then re-queue anything a faulted device left behind onto the remaining
+// devices — subdivided, so stolen work is itself parallel — until the op
+// completes, falling back to the host when no device remains.
 //
 // Accounting merges the per-device clocks into a measured parallel span:
 // each wave contributes the maximum modelled-time delta across its
@@ -297,7 +317,7 @@ type devOutcome struct {
 // Bit-exactness: shards are contiguous item ranges and Run writes only its
 // own range, so any schedule — including mid-batch death and rework — yields
 // the byte-identical result of the sequential op. Ops serialize on the set;
-// one op at a time owns every member clock.
+// one op at a time owns every member clock and the scheduler's scratch.
 func (s *DeviceSet) Run(op ShardOp) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -305,97 +325,73 @@ func (s *DeviceSet) Run(op ShardOp) error {
 	if op.Items <= 0 {
 		return nil
 	}
-
-	excluded := make([]bool, len(s.devs))
-	eligible := func() []int {
-		var ids []int
-		for i, d := range s.devs {
-			if !excluded[i] && d.Health() != DeviceFailed {
-				ids = append(ids, i)
-			}
-		}
-		return ids
+	for i := range s.slots {
+		s.slots[i].excluded = false
 	}
-
-	// assignment maps device → its queued shards for the current wave.
-	assignment := make(map[int][]Shard)
-	elig := eligible()
-	pending := []Shard{{Lo: 0, Hi: op.Items}}
+	s.pending = append(s.pending[:0], Shard{Lo: 0, Hi: op.Items})
 	var lastErr error
 
 	for wave := 0; ; wave++ {
+		elig := s.eligibleLocked()
+		if len(elig) == 0 {
+			return s.runHostLocked(op, s.pending, lastErr)
+		}
 		// Distribute the pending ranges: each splits across every eligible
 		// device, so wave 0 is the even initial split and rework waves spread
 		// a dead device's remainder instead of serializing it on one peer.
-		if len(elig) == 0 {
-			return s.runHostLocked(op, pending, lastErr)
-		}
-		migration := make(map[int]time.Duration)
-		for _, rng := range pending {
-			pieces := SplitShards(rng.Len(), len(elig))
-			for j, p := range pieces {
-				dev := elig[j%len(elig)]
+		for _, rng := range s.pending {
+			s.pieces = appendShards(s.pieces[:0], rng.Len(), len(elig))
+			for j, p := range s.pieces {
+				dev := elig[j]
 				sh := Shard{Lo: rng.Lo + p.Lo, Hi: rng.Lo + p.Hi}
-				assignment[dev] = append(assignment[dev], sh)
+				s.slots[dev].queue = append(s.slots[dev].queue, sh)
 				s.stats.Shards++
 				if wave > 0 {
 					s.stats.Steals++
 					// The faulted device's staged input migrates to the stealer
 					// over the interconnect; charged inside the wave below so
 					// the merged span includes it.
-					migration[dev] += s.p2pTimeLocked(int64(sh.Len()) * op.BytesPerItem)
+					s.slots[dev].migration += s.p2pTimeLocked(int64(sh.Len()) * op.BytesPerItem)
 				}
 			}
 		}
-		pending = pending[:0]
+		s.pending = s.pending[:0]
 
-		// One wave: every assigned device runs its shards in order on its own
-		// goroutine; per-device clocks advance independently.
-		base := make(map[int]time.Duration, len(assignment))
-		for dev := range assignment {
-			base[dev] = s.devs[dev].Stats().SimTimeOverlapped()
+		// One wave: every assigned device runs its shards in order;
+		// per-device clocks advance independently.
+		first := -1
+		for _, dev := range elig {
+			slot := &s.slots[dev]
+			if len(slot.queue) == 0 {
+				continue
+			}
+			slot.base = s.devs[dev].Stats().SimTimeOverlapped()
+			s.devs[dev].ChargeFaultTime(slot.migration)
+			slot.migration = 0
+			if first < 0 {
+				first = dev
+			}
 		}
-		for dev, dur := range migration {
-			s.devs[dev].ChargeFaultTime(dur)
+		for _, dev := range elig {
+			if dev != first && len(s.slots[dev].queue) > 0 {
+				s.wave.Add(1)
+				go func(dev int) {
+					defer s.wave.Done()
+					s.runQueue(op, dev)
+				}(dev)
+			}
 		}
-		outcomes := make(map[int]*devOutcome, len(assignment))
-		var wg sync.WaitGroup
-		var omu sync.Mutex
-		for dev, shards := range assignment {
-			wg.Add(1)
-			go func(dev int, shards []Shard) {
-				defer wg.Done()
-				out := &devOutcome{}
-				for k, sh := range shards {
-					if err := op.Run(dev, sh); err != nil {
-						if !IsKernelError(err) {
-							out.fatal = err
-						} else {
-							out.failed = append([]Shard{}, shards[k:]...)
-							out.fatal = nil
-							omu.Lock()
-							outcomes[dev] = out
-							omu.Unlock()
-							return
-						}
-						omu.Lock()
-						outcomes[dev] = out
-						omu.Unlock()
-						return
-					}
-				}
-				omu.Lock()
-				outcomes[dev] = out
-				omu.Unlock()
-			}(dev, shards)
-		}
-		wg.Wait()
+		s.runQueue(op, first)
+		s.wave.Wait()
 
 		// Merge the wave's clocks: parallel span is the slowest device's
 		// delta, never the sum — an idle device charges nothing.
 		var span, seq time.Duration
-		for dev := range assignment {
-			delta := s.devs[dev].Stats().SimTimeOverlapped() - base[dev]
+		for _, dev := range elig {
+			if len(s.slots[dev].queue) == 0 {
+				continue
+			}
+			delta := s.devs[dev].Stats().SimTimeOverlapped() - s.slots[dev].base
 			if delta < 0 {
 				delta = 0
 			}
@@ -410,28 +406,66 @@ func (s *DeviceSet) Run(op ShardOp) error {
 			s.stats.RebalanceSim += span
 		}
 
-		for dev := range assignment {
-			delete(assignment, dev)
-		}
-		for dev, out := range outcomes {
-			if out.fatal != nil {
-				return fmt.Errorf("gpu: sharded %s on dev%d: %w", op.Name, dev, out.fatal)
+		var fatal error
+		for _, dev := range elig {
+			slot := &s.slots[dev]
+			queued := slot.queue
+			slot.queue = queued[:0]
+			if fatal != nil || len(queued) == 0 {
+				continue
 			}
-			if len(out.failed) > 0 {
+			if slot.fatal != nil {
+				fatal = fmt.Errorf("gpu: sharded %s on dev%d: %w", op.Name, dev, slot.fatal)
+				continue
+			}
+			if k := slot.failedAt; k >= 0 {
 				// This device failed a shard during this op: exclude it from
 				// the rework so a flaky-but-alive device cannot reabsorb work
 				// it keeps failing.
-				excluded[dev] = true
-				pending = append(pending, out.failed...)
+				slot.excluded = true
+				s.pending = append(s.pending, queued[k:]...)
 				if lastErr == nil {
 					lastErr = fmt.Errorf("gpu: sharded %s: dev%d faulted", op.Name, dev)
 				}
 			}
 		}
-		if len(pending) == 0 {
+		if fatal != nil {
+			return fatal
+		}
+		if len(s.pending) == 0 {
 			return nil
 		}
-		elig = eligible()
+	}
+}
+
+// eligibleLocked lists the devices that may take shards: not Failed and not
+// excluded by an earlier failure in the current op. Callers hold s.mu.
+func (s *DeviceSet) eligibleLocked() []int {
+	s.elig = s.elig[:0]
+	for i, d := range s.devs {
+		if !s.slots[i].excluded && d.Health() != DeviceFailed {
+			s.elig = append(s.elig, i)
+		}
+	}
+	return s.elig
+}
+
+// runQueue walks device dev's queued shards in order, stopping at the first
+// error: a typed *KernelError records where the rework starts, anything
+// else is fatal to the op. Distinct devices write distinct slots, so wave
+// participants run it concurrently.
+func (s *DeviceSet) runQueue(op ShardOp, dev int) {
+	slot := &s.slots[dev]
+	slot.failedAt, slot.fatal = -1, nil
+	for k, sh := range slot.queue {
+		if err := op.Run(dev, sh); err != nil {
+			if IsKernelError(err) {
+				slot.failedAt = k
+			} else {
+				slot.fatal = err
+			}
+			return
+		}
 	}
 }
 
@@ -445,6 +479,7 @@ func (s *DeviceSet) runHostLocked(op ShardOp, pending []Shard, lastErr error) er
 		}
 		return lastErr
 	}
+	s.stats.HostOps++
 	start := time.Now()
 	for _, sh := range pending {
 		if err := op.Host(sh); err != nil {

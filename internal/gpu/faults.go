@@ -63,7 +63,7 @@ func IsKernelError(err error) bool {
 type HealthState string
 
 // Health machine states: Healthy → Degraded → Failed. Failed is terminal —
-// callers fail over to host execution (ghe.CheckedEngine).
+// callers fail over to other devices or the host (ghe.ShardedEngine).
 const (
 	DeviceHealthy  HealthState = "healthy"
 	DeviceDegraded HealthState = "degraded"

@@ -99,7 +99,8 @@ func (CPUBackend) RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64) ([
 // GPUBackend lowers batched operations onto the GPU-HE engine, following the
 // pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
 // back. The engine is any ghe.VectorEngine — the raw device engine, the
-// checked wrapper with retry/verify/fallback, or the pure-host fallback —
+// checked wrapper with retry/verify, the sharded engine with host failover,
+// or the pure-host engine —
 // so the backend degrades between substrates without code changes.
 type GPUBackend struct {
 	Engine ghe.VectorEngine

@@ -122,25 +122,34 @@ func (p *NoncePool) Prefill(count int) (time.Duration, error) {
 	if chunk <= 0 {
 		chunk = 32
 	}
+	// A sharded engine brackets the whole refill on its own clocks, so the
+	// set's merged clock sheds it too; a bare device reclassifies its own
+	// counters. Either way the chunks pipeline on the stream device, if any.
 	dev := p.eng.StreamDevice()
-	var mark gpu.Stats
-	var pipe *gpu.Pipeline
 	var finish func() time.Duration
-	if dev != nil {
-		mark = dev.Stats()
-		pipe = dev.NewPipeline(2)
-	} else if off, ok := p.eng.(ghe.OfflineEngine); ok {
-		// Deviceless but clocked (a sharded multi-device engine): bracket the
-		// whole refill and reclassify the set's accrued cost as precompute.
+	if off, ok := p.eng.(ghe.OfflineEngine); ok {
 		finish = off.BeginOffline()
+	} else if dev != nil {
+		mark := dev.Stats()
+		finish = func() time.Duration { return dev.ReclassifyPrecompute(mark) }
 	}
-	refillErr := func(err error) (time.Duration, error) {
+	var pipe *gpu.Pipeline
+	if dev != nil {
+		pipe = dev.NewPipeline(2)
+	}
+	reclassify := func() time.Duration {
 		if pipe != nil {
 			pipe.Close()
-			p.stats.RefillSim += dev.ReclassifyPrecompute(mark)
-		} else if finish != nil {
-			p.stats.RefillSim += finish()
 		}
+		if finish == nil {
+			return 0
+		}
+		moved := finish()
+		p.stats.RefillSim += moved
+		return moved
+	}
+	refillErr := func(err error) (time.Duration, error) {
+		reclassify()
 		return 0, err
 	}
 	for done := 0; done < need; {
@@ -168,16 +177,7 @@ func (p *NoncePool) Prefill(count int) (time.Duration, error) {
 		p.stats.Precomputed += int64(n)
 	}
 	p.stats.Refills++
-	var moved time.Duration
-	if pipe != nil {
-		pipe.Close()
-		moved = dev.ReclassifyPrecompute(mark)
-		p.stats.RefillSim += moved
-	} else if finish != nil {
-		moved = finish()
-		p.stats.RefillSim += moved
-	}
-	return moved, nil
+	return reclassify(), nil
 }
 
 // take pops up to `count` ready rⁿ terms for global stream positions

@@ -78,7 +78,7 @@ func (*cpuEncryptSession) Close() {}
 // BeginEncrypt implements StreamBackend. The engine must be a
 // ghe.StreamEngine (all shipped engines are): chunked nonce generation is
 // addressed by global stream position, so chunk boundaries never change the
-// r values, and the CheckedEngine's retry/failover of a single chunk
+// r values, and a checked retry or sharded failover of a single chunk
 // reproduces the same positions.
 func (g *GPUBackend) BeginEncrypt(pk *PublicKey, seed uint64) (EncryptSession, error) {
 	if pk == nil {
@@ -91,10 +91,12 @@ func (g *GPUBackend) BeginEncrypt(pk *PublicKey, seed uint64) (EncryptSession, e
 	s := &gpuEncryptSession{g: g, pk: pk, seed: seed, eng: se}
 	if dev := se.StreamDevice(); dev != nil {
 		s.pipe = dev.NewPipeline(2)
-	} else if clk, ok := g.Engine.(ghe.SimClock); ok {
-		// No single device to pipeline on (a sharded multi-device engine),
-		// but the substrate still keeps a modelled clock: per-chunk cost is
-		// read as SimNow deltas instead of pipeline chunks.
+	}
+	if clk, ok := g.Engine.(ghe.SimClock); ok {
+		// A sharded engine keeps its own modelled clock, which also holds the
+		// host time of shards its scheduler served on the host: per-chunk
+		// cost is read as SimNow deltas, whether or not a device pipelines
+		// the chunks.
 		s.clk = clk
 	}
 	return s, nil
@@ -105,8 +107,8 @@ type gpuEncryptSession struct {
 	pk   *PublicKey
 	seed uint64
 	eng  ghe.StreamEngine
-	pipe *gpu.Pipeline // nil when the engine runs without a device
-	clk  ghe.SimClock  // set when pipe is nil but the engine has a clock
+	pipe *gpu.Pipeline // nil when the engine has no single stream device
+	clk  ghe.SimClock  // set when the engine keeps its own clock
 	base int
 	done bool
 }
@@ -143,7 +145,8 @@ func (s *gpuEncryptSession) Next(ms []mpint.Nat) ([]Ciphertext, time.Duration, e
 	var seq time.Duration
 	if s.pipe != nil {
 		seq, _ = s.pipe.End()
-	} else if s.clk != nil {
+	}
+	if s.clk != nil {
 		seq = s.clk.SimNow() - clkMark
 	}
 	out := make([]Ciphertext, len(ms))

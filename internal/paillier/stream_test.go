@@ -172,10 +172,16 @@ func TestStreamEncryptCheckedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
+	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Kill after the first chunk's kernels so the stream breaks mid-flight.
-	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}))
-	ce := ghe.MustCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 2, VerifyFraction: 1})
+	set.Device(0).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}))
+	ce, err := ghe.NewShardedEngine(set, ghe.CheckedConfig{MaxRetries: 2, VerifyFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, _ := streamEncrypt(t, MustGPUBackend(ce), pk, ms, seed, 6)
 	sameCiphertexts(t, "checked-failover", want, got)
 	st := ce.Stats()
